@@ -17,6 +17,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from hioaw import (
     CarParams,
     RandomScheduler,
@@ -90,7 +92,7 @@ def main(argv=None) -> int:
         (last[p2.var("pos_x")], last[p2.var("pos_y")]),
         p2.length, p2.width, grid,
     )
-    print(f"final footprints overlap: {bool(fp1 & fp2)}")
+    print(f"final footprints overlap: {bool(np.intersect1d(fp1, fp2).size)}")
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)

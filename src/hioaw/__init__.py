@@ -54,7 +54,6 @@ from .fields import (
     FieldSlice,
     SpaceGrid,
     SpatioTemporalField,
-    field_at,
     field_sum,
     footprint,
     neighborhood,

@@ -165,8 +165,11 @@ class Environment(Protocol):
     ``observe`` is called at each sample instant with the automaton's current
     output valuation; in a closed world the inputs are derived from it.
     Implementations may keep per-run state (e.g. a latch) but must be
-    deterministic; use a fresh instance per run.
+    deterministic; ``reset`` discards that state, and ``execute`` calls it
+    before the run's first observation.
     """
+
+    def reset(self) -> None: ...
 
     def observe(self, t: float, outputs: Valuation) -> Valuation: ...
 
@@ -176,6 +179,9 @@ class ConstantInputs:
 
     def __init__(self, inputs: Valuation):
         self._inputs = inputs
+
+    def reset(self) -> None:
+        pass
 
     def observe(self, t: float, outputs: Valuation) -> Valuation:
         return self._inputs
@@ -404,9 +410,16 @@ class Hioaw:
 
     # -- continuous evolution ----------------------------------------------------
 
-    def full_sample(self, x: Valuation, u: Valuation) -> Valuation:
-        """The valuation over all declared variables at one instant."""
-        return u.project(names_of(self.sig.inputs)).merge(x).merge(self.gen.output(x))
+    def full_sample(
+        self, x: Valuation, u: Valuation, outputs: Valuation | None = None
+    ) -> Valuation:
+        """The valuation over all declared variables at one instant.
+
+        ``outputs``, when given, must be ``self.gen.output(x)``; passing it
+        spares recomputing it.
+        """
+        y = self.gen.output(x) if outputs is None else outputs
+        return u.project(names_of(self.sig.inputs)).merge(x).merge(y)
 
     def _steps_for(self, duration: float) -> int:
         k = duration / self.time_step
@@ -491,9 +504,13 @@ class Hioaw:
         actions: list[str] = []
         cur: list[Valuation] = []
         all_vars = self.sig.all_vars
+        env.reset()
         for k in range(n + 1):
             t = k * self.time_step
-            u = env.observe(t, self.gen.output(x))
+            # Outputs are a function of the state: one evaluation per state
+            # feeds both the environment and the recorded sample.
+            y = self.gen.output(x)
+            u = env.observe(t, y)
             fired = 0
             while True:
                 enabled = self.enabled_actions(x, u)
@@ -505,15 +522,16 @@ class Hioaw:
                     raise SchedulerDeadlock(
                         f"more than {MAX_FIRINGS_PER_INSTANT} firings at t={t}"
                     )
-                cur.append(self.full_sample(x, u))
+                cur.append(self.full_sample(x, u, y))
                 trajs.append(
                     Trajectory(all_vars, self.time_step, tuple(cur), closed=True)
                 )
                 actions.append(act)
                 x = self.step(x, act, u)
                 cur = []
-                u = env.observe(t, self.gen.output(x))
-            cur.append(self.full_sample(x, u))
+                y = self.gen.output(x)
+                u = env.observe(t, y)
+            cur.append(self.full_sample(x, u, y))
             if k < n:
                 x = self.gen.flow(x, u, self.time_step)
         trajs.append(Trajectory(all_vars, self.time_step, tuple(cur), closed=True))

@@ -125,17 +125,16 @@ def build_car(params: CarParams, grid: SpaceGrid, time_step: float) -> Hioaw:
         actions_hidden=[v("collision"), v("level")],
     )
 
-    geometry_cache: dict[tuple[float, float, float], tuple[Region, Region]] = {}
+    # The last pose's cells: a stopped car repeats its pose, and the guards
+    # ask for the ring of the pose whose outputs were just written.
+    memo: list = [None, None]
 
     def geometry(x: Valuation) -> tuple[Region, Region]:
-        key = (x[hd], x[px], x[py])
-        hit = geometry_cache.get(key)
-        if hit is None:
+        key = (x[hd], x[px], x[py], x[rad_n])
+        if memo[0] != key:
             fp = footprint(key[0], (key[1], key[2]), params.length, params.width, grid)
-            ring = neighborhood((key[1], key[2]), x[rad_n], fp, grid)
-            hit = (fp, ring)
-            geometry_cache[key] = hit
-        return hit
+            memo[:] = [key, (fp, neighborhood((key[1], key[2]), key[3], fp, grid))]
+        return memo[1]
 
     def speed_of(x: Valuation) -> float:
         if x[stop_n]:
@@ -172,7 +171,7 @@ def build_car(params: CarParams, grid: SpaceGrid, time_step: float) -> Hioaw:
 
     def sees_deformation(x: Valuation, u: Valuation) -> bool:
         _fp, ring = geometry(x)
-        return slice_exists(u[GROUND], ring, bool)
+        return slice_exists(u[GROUND], ring, lambda g: g)
 
     rules = (
         TransitionRule(
@@ -225,36 +224,33 @@ def build_car(params: CarParams, grid: SpaceGrid, time_step: float) -> Hioaw:
     )
 
 
-@dataclass
-class GroundState:
-    """Latched terrain deformation: once pressed, a cell stays deformed."""
-
-    deformed: np.ndarray
-
-
 class GroundEnvironment:
     """Closes the world around an automaton writing pressure and paint.
 
     The sensed color is the written paint layer itself; the sensed ground
     layer is the latch of every cell whose pressure ever exceeded the
-    threshold.  Stateful: use a fresh instance per run.
+    threshold.  The latch is per run: :meth:`reset` clears it, and
+    ``execute`` calls it before the first observation.
     """
 
     def __init__(self, grid: SpaceGrid, threshold: float = 0.0):
+        if not threshold >= 0.0:
+            raise InvalidParams("ground threshold must be nonnegative")
         self.grid = grid
         self.threshold = threshold
-        self.ground = GroundState(np.zeros(grid.shape, dtype=bool))
+        self.reset()
+
+    def reset(self) -> None:
+        self.ground = FieldSlice.zeros(self.grid, FieldKind.BOOL)
 
     def observe(self, t: float, outputs: Valuation) -> Valuation:
         pressure: FieldSlice = outputs[PRESSURE]  # type: ignore[assignment]
         paint: FieldSlice = outputs[PAINT]  # type: ignore[assignment]
-        self.ground.deformed = self.ground.deformed | (pressure.values > self.threshold)
-        return Valuation(
-            {
-                GROUND: FieldSlice(self.grid, FieldKind.BOOL, self.ground.deformed),
-                COLOR: paint,
-            }
-        )
+        pressed = pressure.index[pressure.data > self.threshold]
+        deformed = np.union1d(self.ground.index, pressed)
+        if deformed.size > self.ground.index.size:
+            self.ground = FieldSlice.from_cells(self.grid, FieldKind.BOOL, deformed, True)
+        return Valuation({GROUND: self.ground, COLOR: paint})
 
 
 @dataclass
@@ -309,7 +305,10 @@ def supervisor_oracle(
     fp2 = footprint(pose2[2], (pose2[0], pose2[1]), params2.length, params2.width, grid)
     ring1 = neighborhood((pose1[0], pose1[1]), params1.sense_radius, fp1, grid)
     ring2 = neighborhood((pose2[0], pose2[1]), params2.sense_radius, fp2, grid)
-    return bool(ring1 & fp2), bool(ring2 & fp1)
+    return (
+        bool(np.intersect1d(ring1, fp2, assume_unique=True).size),
+        bool(np.intersect1d(ring2, fp1, assume_unique=True).size),
+    )
 
 
 def first_risk_steps(

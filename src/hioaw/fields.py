@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,8 @@ from .errors import (
 MAX_GRID_CELLS = 1024 * 1024
 
 Cell = tuple[int, int]
-Region = frozenset[Cell]
+# A set of cells: the sorted, distinct flat indices ``iy * width + ix``.
+Region = np.ndarray
 Point = tuple[float, float]
 
 
@@ -125,11 +127,7 @@ class FieldKind(enum.Enum):
 
     @property
     def dtype(self) -> np.dtype:
-        return {
-            FieldKind.REAL: np.dtype(np.float64),
-            FieldKind.COUNT: np.dtype(np.int64),
-            FieldKind.BOOL: np.dtype(np.bool_),
-        }[self]
+        return _DTYPES[self]
 
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self is FieldKind.BOOL:
@@ -137,45 +135,110 @@ class FieldKind(enum.Enum):
         return a + b
 
 
-@dataclass(frozen=True, eq=False)
+_DTYPES = {
+    FieldKind.REAL: np.dtype(np.float64),
+    FieldKind.COUNT: np.dtype(np.int64),
+    FieldKind.BOOL: np.dtype(np.bool_),
+}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class FieldSlice:
     """The value of one world variable at a single instant.
 
-    Cell data is stored as a read-only numpy array of shape (height, width),
-    indexed ``values[iy, ix]``.
+    Stored sparsely: ``index`` holds the sorted flat indices
+    (``iy * width + ix``) of the nonzero cells and ``data`` their values, both
+    read-only.  Zero cells are never stored, so equal slices store equal
+    arrays and hash alike.  ``FieldSlice(grid, kind, dense)`` builds a slice
+    from a (height, width) array; :attr:`values` rebuilds that dense array on
+    demand.
     """
 
     grid: SpaceGrid
     kind: FieldKind
-    values: np.ndarray
+    index: np.ndarray
+    data: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=self.kind.dtype)
-        if arr.shape != self.grid.shape:
-            raise GridMismatch(
-                f"cell array {arr.shape} does not match grid {self.grid.shape}"
-            )
-        arr = arr.copy() if arr.base is not None or arr.flags.writeable else arr
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+    def __init__(self, grid: SpaceGrid, kind: FieldKind, values: object) -> None:
+        arr = np.asarray(values, dtype=kind.dtype)
+        if arr.shape != grid.shape:
+            raise GridMismatch(f"cell array {arr.shape} does not match grid {grid.shape}")
+        flat = arr.reshape(-1)
+        index = np.flatnonzero(flat)
+        self._store(grid, kind, index, flat[index])
+
+    def _store(
+        self, grid: SpaceGrid, kind: FieldKind, index: np.ndarray, data: np.ndarray
+    ) -> None:
+        index.setflags(write=False)
+        data.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _sparse(
+        cls, grid: SpaceGrid, kind: FieldKind, index: np.ndarray, data: np.ndarray
+    ) -> "FieldSlice":
+        """A slice taking ownership of ``data`` on the sorted distinct cells
+        ``index``; zero values are dropped."""
+        nonzero = data != 0
+        if not nonzero.all():
+            index, data = index[nonzero], data[nonzero]
+        out = object.__new__(cls)
+        out._store(grid, kind, index, data)
+        return out
 
     @classmethod
     def zeros(cls, grid: SpaceGrid, kind: FieldKind) -> "FieldSlice":
-        return cls(grid, kind, np.zeros(grid.shape, dtype=kind.dtype))
+        return cls._sparse(grid, kind, np.empty(0, dtype=np.intp), np.empty(0, kind.dtype))
 
     @classmethod
     def from_cells(
-        cls, grid: SpaceGrid, kind: FieldKind, cells: Iterable[Cell], value: object = 1
+        cls, grid: SpaceGrid, kind: FieldKind, cells: Region, value: object = 1
     ) -> "FieldSlice":
-        arr = np.zeros(grid.shape, dtype=kind.dtype)
-        for ix, iy in cells:
-            arr[iy, ix] = value
-        return cls(grid, kind, arr)
+        """A slice holding ``value`` (a scalar, or one value per cell) on a
+        region's cells and zero elsewhere.
+
+        Raises
+        ------
+        InvalidParams
+            If ``cells`` is not a sorted array of distinct cells of the grid.
+        """
+        index = np.array(cells, dtype=np.intp).reshape(-1)
+        if index.size and (
+            index[0] < 0
+            or index[-1] >= grid.width * grid.height
+            or bool(np.any(index[1:] <= index[:-1]))
+        ):
+            raise InvalidParams("cells must be sorted distinct flat indices of the grid")
+        data = np.full(index.shape, value, dtype=kind.dtype)
+        return cls._sparse(grid, kind, index, data)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only dense array of shape (height, width), indexed
+        ``values[iy, ix]``; built afresh on every access."""
+        flat = np.zeros(self.grid.width * self.grid.height, dtype=self.kind.dtype)
+        flat[self.index] = self.data
+        arr = flat.reshape(self.grid.shape)
+        arr.setflags(write=False)
+        return arr
+
+    def gather(self, cells: Region) -> np.ndarray:
+        """Values at the given flat cell indices, zero where nothing is stored."""
+        out = np.zeros(len(cells), dtype=self.kind.dtype)
+        if self.index.size:
+            pos = np.minimum(np.searchsorted(self.index, cells), self.index.size - 1)
+            hit = self.index[pos] == cells
+            out[hit] = self.data[pos[hit]]
+        return out
 
     def at(self, p: Point) -> object:
         """Field value at a point: the value of the cell containing it."""
         ix, iy = self.grid.cell_of(p)
-        v = self.values[iy, ix]
+        v = self.gather(np.array([iy * self.grid.width + ix]))[0]
         if self.kind is FieldKind.REAL:
             return float(v)
         if self.kind is FieldKind.COUNT:
@@ -189,7 +252,9 @@ class FieldSlice:
             raise GridMismatch("cannot combine fields on different grids")
         if self.kind != other.kind:
             raise KindMismatch(f"cannot combine {self.kind} with {other.kind}")
-        return FieldSlice(self.grid, self.kind, self.kind.combine(self.values, other.values))
+        index = np.union1d(self.index, other.index)
+        data = self.kind.combine(self.gather(index), other.gather(index))
+        return FieldSlice._sparse(self.grid, self.kind, index, data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldSlice):
@@ -197,19 +262,21 @@ class FieldSlice:
         return (
             self.grid == other.grid
             and self.kind == other.kind
-            and bool(np.array_equal(self.values, other.values))
+            and bool(np.array_equal(self.index, other.index))
+            and bool(np.array_equal(self.data, other.data))
         )
 
     def __hash__(self) -> int:
-        return hash((self.grid, self.kind, self.values.tobytes()))
+        return hash((self.grid, self.kind, self.index.tobytes(), self.data.tobytes()))
 
     def close_to(self, other: "FieldSlice", tol: float) -> bool:
         """Cell-wise comparison with tolerance on REAL fields, exact otherwise."""
         if self.grid != other.grid or self.kind != other.kind:
             return False
         if self.kind is FieldKind.REAL:
-            return bool(np.allclose(self.values, other.values, rtol=tol, atol=tol))
-        return bool(np.array_equal(self.values, other.values))
+            index = np.union1d(self.index, other.index)
+            return bool(np.allclose(self.gather(index), other.gather(index), rtol=tol, atol=tol))
+        return self == other
 
     def occupied(self) -> np.ndarray:
         """Boolean mask of cells that read as 'present' (nonzero / true)."""
@@ -221,7 +288,7 @@ class FieldSlice:
         """Sum of cell values times cell area (REAL fields only)."""
         if self.kind is not FieldKind.REAL:
             raise KindMismatch("integral is defined for REAL fields")
-        return float(self.values.sum(dtype=np.float64) * self.grid.cell_size**2)
+        return float(self.data.sum(dtype=np.float64) * self.grid.cell_size**2)
 
 
 @dataclass(frozen=True)
@@ -280,10 +347,6 @@ class SpatioTemporalField:
         return SpatioTemporalField(self.grid, self.kind, merged, self.time_step)
 
 
-def field_at(field: SpatioTemporalField, t: float, p: Point) -> object:
-    return field.at(t, p)
-
-
 def field_sum(a: SpatioTemporalField, b: SpatioTemporalField) -> SpatioTemporalField:
     return a + b
 
@@ -297,6 +360,37 @@ def _fold_half_turn(phi: float) -> float:
     return r + math.pi if r < 0.0 else r
 
 
+def _span(c: float, reach: float, origin: float, size: float, n: int) -> slice:
+    """Cell indices along one axis whose centres may lie within ``reach`` of
+    ``c``, with one cell of slack on each side; empty for NaN input."""
+    lo = (c - reach - origin) / size - 1.0
+    hi = (c + reach - origin) / size + 2.0
+    lo = min(lo, n) if lo > 0.0 else 0.0
+    hi = min(hi, n) if hi > 0.0 else 0.0
+    return slice(int(lo), int(hi))
+
+
+def _window(
+    grid: SpaceGrid, center: Point, reach: float
+) -> tuple[slice, slice, np.ndarray, np.ndarray]:
+    """Row and column slices bounding the disc of ``reach`` around ``center``,
+    and the centre offsets ``(cx - center_x, cy - center_y)`` of their cells.
+
+    The offsets are the full-grid arrays' own elements, so every test on them
+    picks the same cells, bit for bit, as it would over the whole grid.
+    """
+    rows = _span(center[1], reach, grid.origin[1], grid.cell_size, grid.height)
+    cols = _span(center[0], reach, grid.origin[0], grid.cell_size, grid.width)
+    cx, cy = _center_arrays(grid)
+    return rows, cols, cx[rows, cols] - center[0], cy[rows, cols] - center[1]
+
+
+def _cells(mask: np.ndarray, rows: slice, cols: slice, grid: SpaceGrid) -> Region:
+    """Sorted flat indices of the window cells set in ``mask``."""
+    iys, ixs = np.nonzero(mask)
+    return (iys + rows.start) * grid.width + (ixs + cols.start)
+
+
 def footprint(
     phi: float, center: Point, length: float, width: float, grid: SpaceGrid
 ) -> Region:
@@ -304,20 +398,18 @@ def footprint(
 
     The rectangle has the given ``length`` along heading ``phi`` and ``width``
     across it, centred at ``center``.  Cells are tested by their centres;
-    boundary centres count as inside.
+    boundary centres count as inside.  Only the cells around the rectangle
+    are examined, so the cost does not depend on the grid's size.
     """
     if length <= 0.0 or width <= 0.0:
         raise InvalidParams("rectangle dimensions must be positive")
     a = _fold_half_turn(phi)
     c, s = math.cos(a), math.sin(a)
-    cx, cy = _center_arrays(grid)
-    dx = cx - center[0]
-    dy = cy - center[1]
+    rows, cols, dx, dy = _window(grid, center, math.hypot(length, width) / 2.0)
     u = dx * c + dy * s
     v = -dx * s + dy * c
     mask = (np.abs(u) <= length / 2.0) & (np.abs(v) <= width / 2.0)
-    iys, ixs = np.nonzero(mask)
-    return frozenset((int(ix), int(iy)) for ix, iy in zip(ixs, iys))
+    return _cells(mask, rows, cols, grid)
 
 
 def neighborhood(center: Point, radius: float, exclude: Region, grid: SpaceGrid) -> Region:
@@ -328,11 +420,9 @@ def neighborhood(center: Point, radius: float, exclude: Region, grid: SpaceGrid)
     """
     if radius <= 0.0:
         raise InvalidParams("radius must be positive")
-    cx, cy = _center_arrays(grid)
-    mask = (cx - center[0]) ** 2 + (cy - center[1]) ** 2 <= radius**2
-    iys, ixs = np.nonzero(mask)
-    cells = frozenset((int(ix), int(iy)) for ix, iy in zip(ixs, iys))
-    return cells - exclude
+    rows, cols, dx, dy = _window(grid, center, radius)
+    disc = _cells(dx**2 + dy**2 <= radius**2, rows, cols, grid)
+    return np.setdiff1d(disc, exclude, assume_unique=True)
 
 
 def occupancy_field(region: Region, grid: SpaceGrid) -> FieldSlice:
@@ -348,41 +438,40 @@ def pressure_field(mass: float, region: Region, grid: SpaceGrid) -> FieldSlice:
     """
     if mass < 0.0:
         raise InvalidParams("mass must be nonnegative")
-    if not region:
+    if not len(region):
         raise EmptyFootprint("cannot spread mass over an empty region")
     per_cell = mass / (len(region) * grid.cell_size**2)
     return FieldSlice.from_cells(grid, FieldKind.REAL, region, per_cell)
 
 
 def slice_exists(
-    fslice: FieldSlice, region: Region, pred: Callable[[object], bool]
+    fslice: FieldSlice, region: Region, pred: Callable[[np.ndarray], np.ndarray]
 ) -> bool:
-    """True iff some cell of the region satisfies the predicate now."""
-    for cell in region:
-        ix, iy = cell
-        v = fslice.values[iy, ix]
-        if pred(v):
-            return True
-    return False
+    """True iff some cell of the region satisfies the predicate now.
+
+    ``pred`` maps the array of the region's cell values to a boolean array.
+    """
+    return bool(np.any(pred(fslice.gather(region))))
 
 
-def region_exists(
-    field: SpatioTemporalField, t: float, region: Region, pred: Callable[[object], bool]
-) -> bool:
-    """True iff some cell of the region satisfies the predicate at time ``t``."""
-    return slice_exists(field.slice_at(t), region, pred)
+@lru_cache(maxsize=2)
+def _csv_prefixes(grid: SpaceGrid) -> tuple[str, ...]:
+    """The ``"x,y,"`` start of every snapshot row, row-major over cells."""
+    x0, y0 = grid.origin
+    xs = [f"{x0 + (ix + 0.5) * grid.cell_size:.9g}," for ix in range(grid.width)]
+    ys = [f"{y0 + (iy + 0.5) * grid.cell_size:.9g}," for iy in range(grid.height)]
+    return tuple(x + y for y in ys for x in xs)
 
 
 def snapshot_csv(fslice: FieldSlice) -> str:
     """Render a slice as ``x,y,value`` CSV text, row-major over cells."""
-    lines = ["x,y,value"]
-    for iy in range(fslice.grid.height):
-        for ix in range(fslice.grid.width):
-            x, y = fslice.grid.cell_center((ix, iy))
-            v = fslice.values[iy, ix]
-            if fslice.kind is FieldKind.REAL:
-                val = f"{float(v):.9g}"
-            else:
-                val = str(int(v))
-            lines.append(f"{x:.9g},{y:.9g},{val}")
-    return "\n".join(lines) + "\n"
+    grid = fslice.grid
+    cells = ["0"] * (grid.width * grid.height)
+    if fslice.kind is FieldKind.REAL:
+        stored = [f"{v:.9g}" for v in fslice.data.tolist()]
+    else:
+        stored = [str(v) for v in fslice.data.astype(np.int64).tolist()]
+    for i, text in zip(fslice.index.tolist(), stored):
+        cells[i] = text
+    body = "\n".join(map(operator.add, _csv_prefixes(grid), cells))
+    return f"x,y,value\n{body}\n"

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .automaton import Hioaw, SampledGenerator, TransitionRule, make_signature
 from .errors import InvalidParams
 from .fields import FieldKind, FieldSlice, SpaceGrid
@@ -116,8 +118,7 @@ def build_finite(
         vals: dict[str, object] = {n: float(level) for n, level in loc.outputs}
         for n, level in loc.world_outputs:
             assert grid is not None
-            flat = FieldSlice.zeros(grid, FieldKind.REAL).values + float(level)
-            vals[n] = FieldSlice(grid, FieldKind.REAL, flat)
+            vals[n] = FieldSlice(grid, FieldKind.REAL, np.full(grid.shape, float(level)))
         out_table[loc.name] = Valuation(vals)
 
     def state_pred(x: Valuation) -> bool:

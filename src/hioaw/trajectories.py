@@ -137,12 +137,12 @@ class Valuation(Mapping[str, object]):
         return Valuation(d)
 
     def freeze(self) -> tuple:
-        """Canonical hashable key (fields keyed by their raw cell bytes)."""
+        """Canonical hashable key (fields keyed by their stored cells' bytes)."""
         out = []
         for k in sorted(self._d):
             v = self._d[k]
             if isinstance(v, FieldSlice):
-                out.append((k, v.kind.value, v.values.tobytes()))
+                out.append((k, v.kind.value, v.index.tobytes(), v.data.tobytes()))
             else:
                 out.append((k, v))
         return tuple(out)

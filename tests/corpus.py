@@ -44,6 +44,13 @@ def random_field(rng: random.Random, kind: FieldKind = FieldKind.REAL) -> FieldS
     return FieldSlice(SMALL_GRID, kind, raw)
 
 
+def region_cells(region, grid: SpaceGrid) -> set[tuple[int, int]]:
+    """A region's cells as (ix, iy) pairs; the region must be sorted and distinct."""
+    flat = [int(i) for i in region]
+    assert flat == sorted(set(flat)), "a region lists sorted distinct cells"
+    return {(i % grid.width, i // grid.width) for i in flat}
+
+
 def random_sample(rng: random.Random, with_field: bool) -> Valuation:
     vals: dict[str, object] = {
         "pos": rng.uniform(-10.0, 10.0),

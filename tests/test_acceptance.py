@@ -21,6 +21,7 @@ from corpus import (
     random_finite_pair,
     random_sample,
     random_trajectory,
+    region_cells,
 )
 from hioaw import (
     CarParams,
@@ -379,7 +380,7 @@ def test_two_car_scenario(capsys, tmp_path):
                     p2.length, p2.width, grid,
                 )
                 union = np.zeros((grid.height, grid.width), dtype=bool)
-                for ix, iy in fp1 | fp2:
+                for ix, iy in region_cells(fp1, grid) | region_cells(fp2, grid):
                     union[iy, ix] = True
                 assert np.array_equal(s[PAINT].occupied(), union)
                 samples += 1
@@ -402,7 +403,7 @@ def test_two_car_scenario(capsys, tmp_path):
             last[v2("heading")], (last[v2("pos_x")], last[v2("pos_y")]),
             p2.length, p2.width, grid,
         )
-        assert not (fp1 & fp2)
+        assert not (region_cells(fp1, grid) & region_cells(fp2, grid))
 
         # byte-identical reruns through the command line
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from corpus import CAR_GRID, DT, car_pair_params
+from corpus import CAR_GRID, DT, car_pair_params, region_cells
 from hioaw import (
     CarParams,
     ConstantInputs,
@@ -12,15 +12,18 @@ from hioaw import (
     GroundEnvironment,
     Valuation,
     build_car,
+    build_scenario,
     build_two_car_world,
     first_action_step,
     first_risk_steps,
     footprint,
+    load_scenario,
     occupancy_field,
     supervisor_oracle,
 )
 from hioaw.cars import COLOR, GROUND, PAINT, PRESSURE, SPEED_SLOW
 from hioaw.errors import InvalidParams
+from test_cli import TWO_CARS_SCENARIO
 
 
 def test_params_validation():
@@ -149,7 +152,7 @@ def test_head_on_approach_stops_both_cars_without_contact():
     fp2 = footprint(
         last["heading_2"], (last["pos_x_2"], last["pos_y_2"]), p2.length, p2.width, CAR_GRID
     )
-    assert not (fp1 & fp2)
+    assert not (region_cells(fp1, CAR_GRID) & region_cells(fp2, CAR_GRID))
 
 
 def test_implicit_stop_matches_the_supervisor_step_for_step():
@@ -173,7 +176,7 @@ def test_composite_fields_sum_mass_and_union_occupancy():
         last["heading_2"], (last["pos_x_2"], last["pos_y_2"]), p2.length, p2.width, CAR_GRID
     )
     union = np.zeros(CAR_GRID.shape, dtype=bool)
-    for ix, iy in fp1 | fp2:
+    for ix, iy in region_cells(fp1, CAR_GRID) | region_cells(fp2, CAR_GRID):
         union[iy, ix] = True
     assert np.array_equal(last[PAINT].values > 0, union)
 
@@ -187,3 +190,17 @@ def test_runs_are_reproducible():
 def test_first_action_step_absent_action():
     _, frag = head_on_run(0.5)
     assert first_action_step(frag, "collision_1") is None
+
+
+def test_ground_environment_rejects_a_negative_threshold():
+    with pytest.raises(InvalidParams, match="threshold"):
+        GroundEnvironment(CAR_GRID, threshold=-0.5)
+
+
+def test_one_ground_environment_serves_repeated_runs():
+    built = build_scenario(load_scenario(TWO_CARS_SCENARIO))
+    world = built.automata["world"]
+    env = GroundEnvironment(built.grid)
+    for _ in range(2):
+        frag = world.execute(env, built.scenario.horizon)
+        assert list(frag.junction_offsets()) == [2, 2, 171, 171]

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, outputs on disk, exit codes, determinism."""
 
+import hashlib
 import os
 
 import pytest
@@ -97,6 +98,28 @@ def test_reruns_are_byte_identical(full_path, tmp_path):
     assert main(args + ["--out", out2]) == EXIT_OK
     tree1, tree2 = read_tree(out1), read_tree(out2)
     assert tree1 and tree1 == tree2
+
+
+# What `sha256sum $(ls | sort) | sha256sum` prints inside the world directory
+# of the committed two-car run below.
+TWO_CARS_DIGEST = "8a3049cbf4c87808b6db1ed05c969c7512d6ad503964693e7c0bc097b0314af9"
+TWO_CARS_SCENARIO = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios", "two_cars.ini"
+)
+
+
+def test_two_car_artifacts_match_the_golden_digest(tmp_path):
+    out = str(tmp_path / "out")
+    args = ["run", "--scenario", TWO_CARS_SCENARIO, "--out", out, "--seed", "0"]
+    assert main(args + ["--snapshot-times", "0,10,20"]) == EXIT_OK
+    world = os.path.join(out, "world")
+    names = sorted(os.listdir(world))
+    assert len(names) == 13
+    lines = []
+    for name in names:
+        with open(os.path.join(world, name), "rb") as fh:
+            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == TWO_CARS_DIGEST
 
 
 def test_run_without_compose_runs_each_automaton(tmp_path):

@@ -70,9 +70,7 @@ def sample_at_time(frag: ExecutionFragment, t: float) -> Valuation:
     raise TimeOutOfDomain(f"no sample at time {t:g}")
 
 
-def write_snapshots(
-    frag: ExecutionFragment, automaton: Hioaw, times: list[float], out_dir: str
-) -> list[str]:
+def write_snapshots(frag: ExecutionFragment, times: list[float], out_dir: str) -> list[str]:
     world_names = sorted(v.name for v in frag.vars if v.kind is VarKind.WORLD)
     written = []
     for t in times:
@@ -172,7 +170,7 @@ def _cmd_run(args) -> int:
         out_dir = os.path.join(args.out, name)
         os.makedirs(out_dir, exist_ok=True)
         write_trace_csv(frag, os.path.join(out_dir, "trace.csv"))
-        snaps = write_snapshots(frag, automaton, times, out_dir)
+        snaps = write_snapshots(frag, times, out_dir)
         extras = f", {len(snaps)} snapshots" if snaps else ""
         print(
             f"{name}: {frag.total_steps} steps, {len(frag.actions)} actions"

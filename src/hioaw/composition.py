@@ -21,6 +21,7 @@ from .errors import IncompatibleAutomata, NotAComposite
 from .executions import (
     EPSILON,
     ExecutionFragment,
+    executions_close,
     restrict_execution,
     trace_of,
     unpad,
@@ -32,6 +33,7 @@ from .trajectories import (
     VarKind,
     VarName,
     names_of,
+    trajectories_close,
     _sum_values,
 )
 
@@ -286,7 +288,7 @@ def compose(a: Hioaw, b: Hioaw) -> Hioaw:
 # -- decomposition ------------------------------------------------------------------
 
 
-def _replay_component(comp: Hioaw, part: Hioaw, frag: ExecutionFragment) -> ExecutionFragment:
+def _replay_component(part: Hioaw, frag: ExecutionFragment) -> ExecutionFragment:
     """Recover one component's padded run from a composite execution, then
     strip the stutters left by the other component's actions."""
     internal = names_of(part.sig.internals)
@@ -323,7 +325,7 @@ def decompose_execution(
             "fragment variables do not match the composite signature"
         )
     a, b = comp.parts
-    return _replay_component(comp, a, frag), _replay_component(comp, b, frag)
+    return _replay_component(a, frag), _replay_component(b, frag)
 
 
 def verify_decomposition(
@@ -347,8 +349,6 @@ def verify_decomposition(
         keep = names_of(part.sig.all_vars) - shared
         lhs = restrict_execution(frag, part.sig.actions, keep)
         rhs = restrict_execution(fi, part.sig.actions, keep)
-        from .executions import executions_close
-
         if not executions_close(lhs, rhs, field_tol):
             problems.append(f"{label} component disagrees outside the shared outputs")
     if shared:
@@ -357,8 +357,6 @@ def verify_decomposition(
             restrict_execution(part_a, (), shared).trajectories[0]
             + restrict_execution(part_b, (), shared).trajectories[0]
         )
-        from .trajectories import trajectories_close
-
         if not trajectories_close(lhs_sh, rhs_sh, field_tol):
             problems.append("shared world outputs are not the sum of contributions")
     return problems

@@ -13,12 +13,18 @@ sample-aligned times, splitting trajectories without changing behaviour.
 ``unpad`` undoes any padding; ``align_paddings`` pads several executions of
 equal duration so that they all break at the same instants, which makes their
 trajectories correspond index by index.
+
+Padding, alignment, restriction and unpadding each take one pass, linear in
+the number of trajectories plus junctions (and in the samples they copy):
+stutters are merged in along the sorted offsets, and each maximal run of
+erased junctions is joined by a single ``concat``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DurationMismatch,
@@ -139,17 +145,27 @@ def restrict_execution(
     """
     keep_act = frozenset(keep_actions) - {EPSILON}
     projected = [tr.project(keep_vars) for tr in frag.trajectories]
+    return _erase_junctions(
+        projected, frag.actions, [act not in keep_act for act in frag.actions]
+    )
+
+
+def _erase_junctions(
+    trajs: Sequence[Trajectory], actions: Sequence[str], erased: Sequence[bool]
+) -> ExecutionFragment:
+    """Drop the junctions flagged in ``erased``, joining the trajectories
+    around each maximal run of them with one ``concat``."""
     out_trajs: list[Trajectory] = []
     out_actions: list[str] = []
-    cur = projected[0]
-    for act, nxt in zip(frag.actions, projected[1:]):
-        if act in keep_act:
-            out_trajs.append(cur)
-            out_actions.append(act)
-            cur = nxt
-        else:
-            cur = concat([cur, nxt])
-    out_trajs.append(cur)
+    run = [trajs[0]]
+    for act, gone, nxt in zip(actions, erased, trajs[1:]):
+        if gone:
+            run.append(nxt)
+            continue
+        out_trajs.append(run[0] if len(run) == 1 else concat(run))
+        out_actions.append(act)
+        run = [nxt]
+    out_trajs.append(run[0] if len(run) == 1 else concat(run))
     return ExecutionFragment(tuple(out_trajs), tuple(out_actions))
 
 
@@ -213,24 +229,7 @@ def pad(frag: ExecutionFragment, cut_times: Iterable[float]) -> ExecutionFragmen
             raise GridMisaligned(
                 f"cut at step {o} hits a junction; zero-length pieces are not allowed"
             )
-    trajs: list[Trajectory] = []
-    actions: list[str] = []
-    base = 0
-    cuts = sorted(offsets)
-    for i, tr in enumerate(frag.trajectories):
-        inner = [o - base for o in cuts if base < o < base + tr.steps]
-        prev = 0
-        for local in inner:
-            trajs.append(
-                Trajectory(tr.vars, dt, tr.samples[prev : local + 1], closed=True)
-            )
-            actions.append(EPSILON)
-            prev = local
-        trajs.append(_suffix_steps(tr, prev))
-        base += tr.steps
-        if i < len(frag.actions):
-            actions.append(frag.actions[i])
-    return ExecutionFragment(tuple(trajs), tuple(actions))
+    return _insert_stutters(frag, dict.fromkeys(offsets, 1))
 
 
 def _internal_names(vars: frozenset[VarName]) -> frozenset[str]:
@@ -244,22 +243,12 @@ def unpad(frag: ExecutionFragment) -> ExecutionFragment:
     padding is malformed.
     """
     internal = _internal_names(frag.vars)
-    trajs: list[Trajectory] = []
-    actions: list[str] = []
-    cur = frag.trajectories[0]
-    for act, nxt in zip(frag.actions, frag.trajectories[1:]):
-        if act == EPSILON:
-            if cur.lval.project(internal) != nxt.fval.project(internal):
-                raise MalformedPadding(
-                    "stutter junction joins different internal states"
-                )
-            cur = concat([cur, nxt])
-        else:
-            trajs.append(cur)
-            actions.append(act)
-            cur = nxt
-    trajs.append(cur)
-    return ExecutionFragment(tuple(trajs), tuple(actions))
+    trajs = frag.trajectories
+    erased = [act == EPSILON for act in frag.actions]
+    for i, gone in enumerate(erased):
+        if gone and trajs[i].lval.project(internal) != trajs[i + 1].fval.project(internal):
+            raise MalformedPadding("stutter junction joins different internal states")
+    return _erase_junctions(trajs, frag.actions, erased)
 
 
 def align_paddings(runs: Sequence[ExecutionFragment]) -> list[ExecutionFragment]:
@@ -269,7 +258,9 @@ def align_paddings(runs: Sequence[ExecutionFragment]) -> list[ExecutionFragment]
     every run, the same number of trajectories with identical per-index
     lengths: junction instants are the union of all runs' junction instants,
     repeated to the largest multiplicity (simultaneous actions produce
-    zero-length point trajectories, matched in the others by stutters).
+    zero-length point trajectories, matched in the others by stutters).  A
+    run whose final trajectory is open cannot take a stutter at its final
+    instant, so a junction there in another run is rejected.
     """
     runs = list(runs)
     if not runs:
@@ -278,69 +269,61 @@ def align_paddings(runs: Sequence[ExecutionFragment]) -> list[ExecutionFragment]
         raise DurationMismatch("runs use different sample steps")
     if len({r.total_steps for r in runs}) != 1:
         raise DurationMismatch("runs cover different total durations")
-    target: dict[int, int] = {}
-    for r in runs:
-        mult: dict[int, int] = {}
-        for o in r.junction_offsets():
-            mult[o] = mult.get(o, 0) + 1
-        for o, m in mult.items():
-            target[o] = max(target.get(o, 0), m)
-    return [_pad_to_junctions(r, target) for r in runs]
-
-
-def _pad_to_junctions(
-    frag: ExecutionFragment, target: dict[int, int]
-) -> ExecutionFragment:
-    dt = frag.time_step
-    trajs: list[Trajectory] = list(frag.trajectories)
-    actions: list[str] = list(frag.actions)
-
-    def starts() -> list[int]:
-        out, off = [], 0
-        for tr in trajs:
-            out.append(off)
-            off += tr.steps
-        return out
-
-    for o in sorted(target):
-        need = target[o]
-        have = sum(
-            1
-            for i, tr in enumerate(trajs[:-1])
-            if starts()[i] + tr.steps == o
-        )
-        if have == 0:
-            # no junction here yet: split the trajectory spanning this offset,
-            # or stutter a point at the very ends
-            st = starts()
-            placed = False
-            for i, tr in enumerate(trajs):
-                if st[i] < o < st[i] + tr.steps:
-                    local = o - st[i]
-                    left = _prefix_steps(tr, local)
-                    right = _suffix_steps(tr, local)
-                    trajs[i : i + 1] = [left, right]
-                    actions.insert(i, EPSILON)
-                    placed = True
-                    break
-            if not placed:
-                if o == 0:
-                    pt = point_trajectory(trajs[0].vars, trajs[0].fval, dt)
-                    trajs.insert(0, pt)
-                    actions.insert(0, EPSILON)
-                else:
-                    pt = point_trajectory(trajs[-1].vars, trajs[-1].lval, dt)
-                    trajs.append(pt)
-                    actions.append(EPSILON)
-            have = 1
-        while have < need:
-            # add a stutter + point right after the last junction at this offset
-            st = starts()
-            pos = max(
-                i for i, tr in enumerate(trajs[:-1]) if st[i] + tr.steps == o
+    total = runs[0].total_steps
+    haves = [Counter(r.junction_offsets()) for r in runs]
+    target: Counter[int] = Counter()
+    for have in haves:
+        target |= have
+    for i, (r, have) in enumerate(zip(runs, haves)):
+        if total and target[total] and not have[total] and not r.trajectories[-1].closed:
+            raise DurationMismatch(
+                f"run {i} is open at its end, but another run has a junction "
+                f"at its final instant (step {total})"
             )
-            pt = point_trajectory(trajs[pos + 1].vars, trajs[pos + 1].fval, dt)
-            trajs.insert(pos + 1, pt)
-            actions.insert(pos + 1, EPSILON)
-            have += 1
+    return [_insert_stutters(r, target - have) for r, have in zip(runs, haves)]
+
+
+def _insert_stutters(frag: ExecutionFragment, counts: Mapping[int, int]) -> ExecutionFragment:
+    """Insert ``counts[o]`` stutter junctions at each global sample offset ``o``.
+
+    One pass over the trajectories and the sorted offsets.  Stutters at an
+    offset go after the last junction already there; with none there, the
+    first one splits the trajectory strictly spanning the offset, or, at the
+    ends of the domain, adds a point trajectory.  Every zero-length piece
+    added holds the sample of the trajectory that follows it, or at the end
+    of the domain the final sample.
+    """
+    dt = frag.time_step
+    todo = sorted(counts.items(), reverse=True)
+    trajs: list[Trajectory] = []
+    actions: list[str] = []
+
+    def stutter(n: int, tr: Trajectory, val: Valuation) -> None:
+        for _ in range(n):
+            trajs.append(point_trajectory(tr.vars, val, dt))
+            actions.append(EPSILON)
+
+    last = len(frag.trajectories) - 1
+    base = 0
+    for i, tr in enumerate(frag.trajectories):
+        # `tr` follows the last junction at `base` (or starts the domain).
+        if todo and todo[-1][0] == base and (tr.steps > 0 or i == last):
+            stutter(todo.pop()[1], tr, tr.fval)
+        prev = 0
+        while todo and todo[-1][0] < base + tr.steps:
+            o, n = todo.pop()
+            local = o - base
+            trajs.append(Trajectory(tr.vars, dt, tr.samples[prev : local + 1], closed=True))
+            actions.append(EPSILON)
+            stutter(n - 1, tr, tr.samples[local])
+            prev = local
+        trajs.append(tr if prev == 0 else _suffix_steps(tr, prev))
+        if i < last:
+            actions.append(frag.actions[i])
+        base += tr.steps
+    if todo:  # the final instant, where no junction is yet
+        tr = frag.trajectories[-1]
+        for _ in range(todo.pop()[1]):
+            actions.append(EPSILON)
+            trajs.append(point_trajectory(tr.vars, tr.lval, dt))
     return ExecutionFragment(tuple(trajs), tuple(actions))

@@ -12,6 +12,7 @@ import numpy as np
 
 from hioaw import (
     CarParams,
+    EPSILON,
     ExecutionFragment,
     FieldKind,
     FieldSlice,
@@ -20,10 +21,14 @@ from hioaw import (
     Valuation,
     auto_var,
     build_car,
+    concat,
+    point_trajectory,
     world_var,
 )
+from hioaw.errors import MalformedPadding
 from hioaw.finite import FiniteSpec, LocationSpec, TransitionSpec, build_finite
 from hioaw.refinement import FiniteInstance
+from hioaw.trajectories import IoRole
 
 DT = 0.1
 SMALL_GRID = SpaceGrid(6, 5, 1.0, (0.0, 0.0))
@@ -107,6 +112,129 @@ def random_cut_times(rng: random.Random, frag: ExecutionFragment, most: int = 3)
     pool = interior_lattice_times(frag)
     rng.shuffle(pool)
     return sorted(pool[: rng.randint(0, min(most, len(pool)))])
+
+
+def random_junction_run(
+    rng: random.Random, total: int, with_field: bool = False, open_end: bool = False
+) -> ExecutionFragment:
+    """A run of ``total`` steps whose junctions may repeat and may sit at 0 or
+    at ``total``, so zero-length pieces occur at the start, middle and end."""
+    offsets = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 4)))
+    if offsets and rng.random() < 0.3:  # several actions at one instant
+        offsets += [rng.choice(offsets)] * rng.randint(1, 2)
+        offsets.sort()
+    bounds = [0, *offsets, total]
+    trajs = tuple(
+        random_trajectory(
+            rng,
+            with_field,
+            min_steps=hi - lo,
+            max_steps=hi - lo,
+            closed=not (open_end and k == len(offsets)),
+        )
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    )
+    actions = tuple(rng.choice(ACTION_POOL) for _ in offsets)
+    return ExecutionFragment(trajs, actions)
+
+
+# -- slow reference oracles for the executions algebra ------------------------------
+# These are the original rescanning and pairwise implementations, kept as the
+# reference that the single-pass kernels in hioaw.executions must match exactly.
+
+
+def reference_restrict(frag: ExecutionFragment, keep_actions, keep_vars) -> ExecutionFragment:
+    keep_act = frozenset(keep_actions) - {EPSILON}
+    projected = [tr.project(keep_vars) for tr in frag.trajectories]
+    out_trajs: list[Trajectory] = []
+    out_actions: list[str] = []
+    cur = projected[0]
+    for act, nxt in zip(frag.actions, projected[1:]):
+        if act in keep_act:
+            out_trajs.append(cur)
+            out_actions.append(act)
+            cur = nxt
+        else:
+            cur = concat([cur, nxt])
+    out_trajs.append(cur)
+    return ExecutionFragment(tuple(out_trajs), tuple(out_actions))
+
+
+def reference_unpad(frag: ExecutionFragment) -> ExecutionFragment:
+    internal = {v.name for v in frag.vars if v.io is IoRole.INTERNAL}
+    trajs: list[Trajectory] = []
+    actions: list[str] = []
+    cur = frag.trajectories[0]
+    for act, nxt in zip(frag.actions, frag.trajectories[1:]):
+        if act == EPSILON:
+            if cur.lval.project(internal) != nxt.fval.project(internal):
+                raise MalformedPadding("stutter junction joins different internal states")
+            cur = concat([cur, nxt])
+        else:
+            trajs.append(cur)
+            actions.append(act)
+            cur = nxt
+    trajs.append(cur)
+    return ExecutionFragment(tuple(trajs), tuple(actions))
+
+
+def reference_align(runs) -> list[ExecutionFragment]:
+    target: dict[int, int] = {}
+    for r in runs:
+        mult: dict[int, int] = {}
+        for o in r.junction_offsets():
+            mult[o] = mult.get(o, 0) + 1
+        for o, m in mult.items():
+            target[o] = max(target.get(o, 0), m)
+    return [reference_pad_to_junctions(r, target) for r in runs]
+
+
+def reference_pad_to_junctions(
+    frag: ExecutionFragment, target: dict[int, int]
+) -> ExecutionFragment:
+    """Pad until every offset ``o`` in ``target`` has ``target[o]`` junctions."""
+    dt = frag.time_step
+    trajs: list[Trajectory] = list(frag.trajectories)
+    actions: list[str] = list(frag.actions)
+
+    def starts() -> list[int]:
+        out, off = [], 0
+        for tr in trajs:
+            out.append(off)
+            off += tr.steps
+        return out
+
+    for o in sorted(target):
+        need = target[o]
+        have = sum(1 for i, tr in enumerate(trajs[:-1]) if starts()[i] + tr.steps == o)
+        if have == 0:
+            st = starts()
+            placed = False
+            for i, tr in enumerate(trajs):
+                if st[i] < o < st[i] + tr.steps:
+                    local = o - st[i]
+                    left = Trajectory(tr.vars, dt, tr.samples[: local + 1], closed=True)
+                    right = Trajectory(tr.vars, dt, tr.samples[local:], closed=tr.closed)
+                    trajs[i : i + 1] = [left, right]
+                    actions.insert(i, EPSILON)
+                    placed = True
+                    break
+            if not placed:
+                if o == 0:
+                    trajs.insert(0, point_trajectory(trajs[0].vars, trajs[0].fval, dt))
+                    actions.insert(0, EPSILON)
+                else:
+                    trajs.append(point_trajectory(trajs[-1].vars, trajs[-1].lval, dt))
+                    actions.append(EPSILON)
+            have = 1
+        while have < need:
+            st = starts()
+            pos = max(i for i, tr in enumerate(trajs[:-1]) if st[i] + tr.steps == o)
+            pt = point_trajectory(trajs[pos + 1].vars, trajs[pos + 1].fval, dt)
+            trajs.insert(pos + 1, pt)
+            actions.insert(pos + 1, EPSILON)
+            have += 1
+    return ExecutionFragment(tuple(trajs), tuple(actions))
 
 
 # -- finite-instance corpus -------------------------------------------------------

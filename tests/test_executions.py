@@ -1,15 +1,21 @@
 """Execution fragments: restriction, traces, and the stutter-padding laws."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from corpus import (
+    ACTION_POOL,
     DT,
-    SCALAR_VARS,
     random_cut_times,
     random_execution,
+    random_junction_run,
     random_trajectory,
+    reference_align,
+    reference_pad_to_junctions,
+    reference_restrict,
+    reference_unpad,
 )
 from hioaw import (
     EPSILON,
@@ -220,27 +226,88 @@ def test_align_pads_at_domain_ends_when_needed():
 def test_align_paddings_randomized():
     rng = random.Random(17)
     for _ in range(100):
-        total = rng.randint(2, 10)
-
-        def rand_run():
-            # random split of `total` steps into pieces with actions between
-            splits = sorted(
-                rng.sample(range(1, total), rng.randint(0, min(2, total - 1)))
-            )
-            bounds = [0, *splits, total]
-            trajs = tuple(
-                random_trajectory(rng, min_steps=b - a, max_steps=b - a)
-                for a, b in zip(bounds, bounds[1:])
-            )
-            acts = tuple(rng.choice(["alpha", "beta"]) for _ in range(len(trajs) - 1))
-            return ExecutionFragment(trajs, acts)
-
-        runs = [rand_run() for _ in range(rng.randint(2, 4))]
+        total = rng.randint(0, 10)
+        runs = [random_junction_run(rng, total) for _ in range(rng.randint(2, 4))]
         aligned = align_paddings(runs)
         shapes = [[t.steps for t in r.trajectories] for r in aligned]
         assert all(s == shapes[0] for s in shapes)
         for original, padded in zip(runs, aligned):
             assert unpad(padded) == original
+
+
+def test_executions_algebra_matches_reference_oracles():
+    # the single-pass kernels against the original rescanning and pairwise code
+    rng = random.Random(23)
+    branches = set()
+    for _ in range(400):
+        total = rng.randint(0, 8)
+        with_field = rng.random() < 0.2
+        runs = [
+            random_junction_run(rng, total, with_field, open_end=rng.random() < 0.15)
+            for _ in range(rng.randint(1, 4))
+        ]
+        try:
+            expected = reference_align(runs)
+        except TimeOutOfDomain:  # an open run asked for a stutter at its end
+            with pytest.raises(DurationMismatch):
+                align_paddings(runs)
+            branches.add("open end")
+            continue
+        aligned = align_paddings(runs)
+        assert aligned == expected
+        for run, padded in zip(runs, aligned):
+            have = Counter(run.junction_offsets())
+            added = Counter(padded.junction_offsets()) - have
+            if added[0] and not have[0]:
+                branches.add("start")
+            if total and added[total] and not have[total]:
+                branches.add("end")
+            if any(have[o] or n > 1 for o, n in added.items()):
+                branches.add("several")
+            assert unpad(padded) == reference_unpad(padded) == run
+            keep = rng.sample([*ACTION_POOL, EPSILON], rng.randint(0, 4))
+            names = rng.sample(["pos", "temp", "armed", "beam"], rng.randint(1, 4))
+            assert restrict_execution(padded, keep, names) == reference_restrict(
+                padded, keep, names
+            )
+            cuts = random_cut_times(rng, run, most=4)
+            offsets = {round(t / DT): 1 for t in cuts}
+            assert pad(run, cuts) == reference_pad_to_junctions(run, offsets)
+            # stutters between random samples mostly change the internal state
+            stuttered = ExecutionFragment(
+                run.trajectories, tuple(rng.choice([EPSILON, a]) for a in run.actions)
+            )
+            try:
+                want = reference_unpad(stuttered)
+            except MalformedPadding:
+                with pytest.raises(MalformedPadding):
+                    unpad(stuttered)
+            else:
+                assert unpad(stuttered) == want
+    assert branches == {"open end", "start", "end", "several"}
+
+
+def test_align_rejects_an_open_run_needing_a_final_stutter():
+    a = ExecutionFragment((ramp([0, 1, 2]), ramp([5])), ("go",))
+    b = ExecutionFragment((ramp([0, 1, 2], closed=False),), ())
+    with pytest.raises(DurationMismatch, match="run 1 is open"):
+        align_paddings([a, b])
+    # with a junction of its own at the end, an open run takes more stutters
+    a2 = ExecutionFragment((ramp([0, 1, 2]), ramp([5]), ramp([5])), ("go", "go"))
+    c = ExecutionFragment((ramp([0, 1, 2]), ramp([7], closed=False)), ("stop",))
+    out_a, out_c = align_paddings([a2, c])
+    assert out_c.actions == ("stop", EPSILON)
+    assert [t.steps for t in out_a.trajectories] == [t.steps for t in out_c.trajectories]
+    assert unpad(out_c) == c
+
+
+def test_thousand_stutters_round_trip():
+    # one concat per run of erased junctions; pairwise joins took seconds here
+    frag = ExecutionFragment((ramp(range(1002), closed=False),), ())
+    padded = pad(frag, [k * DT for k in range(1, 1001)])
+    assert len(padded.actions) == 1000
+    assert unpad(padded) == frag
+    assert restrict_execution(padded, (), ["x"]) == frag
 
 
 def test_align_rejects_mismatched_runs():
